@@ -4,286 +4,23 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
-	"go/types"
 )
 
-// SharedState inventories the state that stands between the sequential
-// event loop and conservative intra-run PDES (ROADMAP item 1: one LP per
-// CMP node, fixed-lookahead windows). Two finding classes, both scoped to
-// internal/sim and internal/memsys:
-//
-//  1. Package-level mutable variables. Every LP would share them; they
-//     must move into per-run state, become immutable, or be justified.
-//
-//  2. Cross-LP writes that bypass the event queue: a synchronous write to
-//     state addressed through another node — any assignment whose target
-//     chain passes through an index into a `Nodes` slice or a call to a
-//     `Home` method, or a call that passes such a remotely-addressed
-//     value to a function that writes through the corresponding
-//     parameter. Under PDES each such site must become a scheduled event
-//     (it is exactly the lookahead-window traffic); writes deferred
-//     through Engine.At/After closures already go through the queue and
-//     are not flagged.
-//
-// Findings are suppressed with //simlint:lp-owned <reason>; the reason
-// documents the ownership/conversion story, and `simlint -pdes-report`
-// publishes the full inventory, suppressed entries included, as the
-// PDES-readiness worklist.
+// SharedState flags package-level variables in internal/sim and
+// internal/memsys. Concurrent runs in one process — the harness's -j
+// worker pool, slipsimd's workers — each own an Engine and a System, so
+// simulation state is per-run by construction; a package-level variable
+// is the one way state leaks across them. Move it into per-run state,
+// make it a constant, or justify it with
+// //simlint:ignore sharedstate <reason>.
 var SharedState = &Analyzer{
 	Name:      "sharedstate",
-	Doc:       "inventory shared mutable state and cross-LP writes for PDES readiness",
+	Doc:       "flag package-level mutable state in the simulation engine and memory system",
 	AppliesTo: simStatePath,
 	Run:       runSharedState,
 }
 
-// paramKey identifies one parameter of a declared function; index 0 is
-// the receiver, 1..N the ordinary parameters.
-type paramKey struct {
-	fn  *types.Func
-	idx int
-}
-
-// paramWriters computes (and memoizes), for every declared function in
-// the loaded packages, which parameters the function writes through —
-// directly (assignment through a chain rooted at the parameter or a local
-// derived from it) or transitively (passing a derived value to another
-// writing parameter). Writes inside nested function literals do not
-// count: a closure handed to Engine.At/After mutates at its scheduled
-// time, through the event queue.
-func (prog *Program) paramWriters() map[paramKey]bool {
-	if prog.paramW != nil {
-		return prog.paramW
-	}
-	g := prog.callGraph()
-	writers := make(map[paramKey]bool)
-	for changed := true; changed; {
-		changed = false
-		for _, n := range g.Nodes {
-			if n.Func == nil || n.Body == nil {
-				continue
-			}
-			for _, pk := range paramKeys(n.Func) {
-				if writers[pk] {
-					continue
-				}
-				if writesThroughParam(n, pk.idx, writers) {
-					writers[pk] = true
-					changed = true
-				}
-			}
-		}
-	}
-	prog.paramW = writers
-	return writers
-}
-
-// paramKeys lists the alias-capable parameters (pointer, slice, map,
-// interface) of fn, receiver included.
-func paramKeys(fn *types.Func) []paramKey {
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok {
-		return nil
-	}
-	var out []paramKey
-	if recv := sig.Recv(); recv != nil && aliasCapable(recv.Type()) {
-		out = append(out, paramKey{fn, 0})
-	}
-	for i := 0; i < sig.Params().Len(); i++ {
-		if aliasCapable(sig.Params().At(i).Type()) {
-			out = append(out, paramKey{fn, i + 1})
-		}
-	}
-	return out
-}
-
-func aliasCapable(t types.Type) bool {
-	switch t.Underlying().(type) {
-	case *types.Pointer, *types.Slice, *types.Map, *types.Interface:
-		return true
-	}
-	return false
-}
-
-// paramVar returns the *types.Var behind a paramKey.
-func paramVar(pk paramKey) *types.Var {
-	sig := pk.fn.Type().(*types.Signature)
-	if pk.idx == 0 {
-		return sig.Recv()
-	}
-	return sig.Params().At(pk.idx - 1)
-}
-
-// writesThroughParam reports whether n's body writes state reachable from
-// the given parameter, given the currently known writer set.
-func writesThroughParam(n *CGNode, idx int, writers map[paramKey]bool) bool {
-	pv := paramVar(paramKey{n.Func, idx})
-	if pv == nil {
-		return false
-	}
-	taint := localTaint(n, pv)
-	found := false
-	inspectOwn(n.Body, func(c ast.Node) {
-		if found {
-			return
-		}
-		switch c := c.(type) {
-		case *ast.AssignStmt:
-			if c.Tok == token.DEFINE {
-				return
-			}
-			for _, lhs := range c.Lhs {
-				// Rebinding the parameter local itself is not a write
-				// through it.
-				if _, plain := unparen(lhs).(*ast.Ident); plain {
-					continue
-				}
-				if rootTainted(n.Pkg.Info, lhs, taint) {
-					found = true
-				}
-			}
-		case *ast.IncDecStmt:
-			if _, plain := unparen(c.X).(*ast.Ident); plain {
-				return
-			}
-			if rootTainted(n.Pkg.Info, c.X, taint) {
-				found = true
-			}
-		case *ast.CallExpr:
-			if calleeWritesTaintedArg(n, c, taint, writers) {
-				found = true
-			}
-		}
-	})
-	return found
-}
-
-// localTaint computes the objects in n's body aliasing pv: pv itself plus
-// locals assigned (or ranged) from expressions rooted at a tainted
-// object. Two passes reach a fixpoint for straight-line re-derivations.
-func localTaint(n *CGNode, pv *types.Var) map[types.Object]bool {
-	info := n.Pkg.Info
-	taint := map[types.Object]bool{pv: true}
-	for pass := 0; pass < 2; pass++ {
-		inspectOwn(n.Body, func(c ast.Node) {
-			switch c := c.(type) {
-			case *ast.AssignStmt:
-				if len(c.Lhs) != len(c.Rhs) {
-					return
-				}
-				for i := range c.Lhs {
-					id, ok := c.Lhs[i].(*ast.Ident)
-					if !ok {
-						continue
-					}
-					obj := info.Defs[id]
-					if obj == nil {
-						obj = info.Uses[id]
-					}
-					if obj == nil || taint[obj] || !aliasCapable(obj.Type()) {
-						continue
-					}
-					if rootTainted(info, c.Rhs[i], taint) {
-						taint[obj] = true
-					}
-				}
-			case *ast.RangeStmt:
-				if !rootTainted(info, c.X, taint) {
-					return
-				}
-				for _, v := range []ast.Expr{c.Key, c.Value} {
-					if id, ok := v.(*ast.Ident); ok {
-						if obj := info.Defs[id]; obj != nil {
-							taint[obj] = true
-						}
-					}
-				}
-			}
-		})
-	}
-	return taint
-}
-
-// rootTainted chases an expression to its root identifiers — through
-// selectors, indexes, stars, parens, and method-call receivers — and
-// reports whether any root is tainted.
-func rootTainted(info *types.Info, e ast.Expr, taint map[types.Object]bool) bool {
-	for {
-		switch x := e.(type) {
-		case *ast.Ident:
-			obj := info.Uses[x]
-			if obj == nil {
-				obj = info.Defs[x]
-			}
-			return obj != nil && taint[obj]
-		case *ast.SelectorExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.ParenExpr:
-			e = x.X
-		case *ast.UnaryExpr:
-			e = x.X
-		case *ast.CallExpr:
-			// node.L2.Lookup(line): the receiver carries the alias.
-			sel, ok := unparen(x.Fun).(*ast.SelectorExpr)
-			if !ok {
-				return false
-			}
-			e = sel.X
-		default:
-			return false
-		}
-	}
-}
-
-// calleeWritesTaintedArg reports whether the call passes a tainted value
-// (argument or receiver) to a parameter the callee writes through.
-func calleeWritesTaintedArg(n *CGNode, call *ast.CallExpr, taint map[types.Object]bool, writers map[paramKey]bool) bool {
-	info := n.Pkg.Info
-	callee := staticCallee(info, call)
-	if callee == nil {
-		return false
-	}
-	if sel, ok := unparen(call.Fun).(*ast.SelectorExpr); ok {
-		if s, ok := info.Selections[sel]; ok && s.Kind() == types.MethodVal {
-			if writers[paramKey{callee, 0}] && rootTainted(info, sel.X, taint) {
-				return true
-			}
-		}
-	}
-	sig, ok := callee.Type().(*types.Signature)
-	if !ok {
-		return false
-	}
-	for i, arg := range call.Args {
-		j := i
-		if sig.Variadic() && j >= sig.Params().Len()-1 {
-			j = sig.Params().Len() - 1
-		}
-		if writers[paramKey{callee, j + 1}] && rootTainted(info, arg, taint) {
-			return true
-		}
-	}
-	return false
-}
-
 func runSharedState(p *Pass) {
-	reportPackageVars(p)
-	writers := p.Prog.paramWriters()
-	g := p.Prog.callGraph()
-	for _, n := range g.Nodes {
-		if n.Pkg != p.Pkg || n.Body == nil {
-			continue
-		}
-		reportCrossLP(p, n, writers)
-	}
-}
-
-// reportPackageVars flags package-level var declarations: state shared by
-// every LP of a parallel run.
-func reportPackageVars(p *Pass) {
 	for _, f := range p.Pkg.Files {
 		for _, decl := range f.Decls {
 			gd, ok := decl.(*ast.GenDecl)
@@ -300,148 +37,10 @@ func reportPackageVars(p *Pass) {
 						continue
 					}
 					p.Report(name.Pos(), fmt.Sprintf(
-						"package-level mutable state %q: shared across all LPs under PDES; move into per-run state, make it constant, or annotate //simlint:lp-owned <reason>",
+						"package-level mutable state %q: concurrent runs in one process would share it; move it into per-run state, make it constant, or annotate //simlint:ignore sharedstate <reason>",
 						name.Name))
 				}
 			}
 		}
 	}
-}
-
-// remoteTaint computes the objects in n's body that address another LP's
-// state: locals derived from an expression whose chain passes through an
-// index into a field named Nodes or a call to a method named Home.
-func remoteTaint(n *CGNode) map[types.Object]bool {
-	info := n.Pkg.Info
-	taint := make(map[types.Object]bool)
-	for pass := 0; pass < 2; pass++ {
-		inspectOwn(n.Body, func(c ast.Node) {
-			as, ok := c.(*ast.AssignStmt)
-			if !ok || len(as.Lhs) != len(as.Rhs) {
-				return
-			}
-			for i := range as.Lhs {
-				id, ok := as.Lhs[i].(*ast.Ident)
-				if !ok {
-					continue
-				}
-				obj := info.Defs[id]
-				if obj == nil {
-					obj = info.Uses[id]
-				}
-				if obj == nil || taint[obj] || !aliasCapable(obj.Type()) {
-					continue
-				}
-				if remoteRooted(info, as.Rhs[i], taint) {
-					taint[obj] = true
-				}
-			}
-		})
-	}
-	return taint
-}
-
-// remoteRooted reports whether the expression's chain passes through a
-// Nodes-slice index, a Home call, or a remotely-tainted object.
-func remoteRooted(info *types.Info, e ast.Expr, taint map[types.Object]bool) bool {
-	for {
-		switch x := e.(type) {
-		case *ast.Ident:
-			obj := info.Uses[x]
-			if obj == nil {
-				obj = info.Defs[x]
-			}
-			return obj != nil && taint[obj]
-		case *ast.SelectorExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			if sel, ok := unparen(x.X).(*ast.SelectorExpr); ok && sel.Sel.Name == "Nodes" {
-				return true
-			}
-			e = x.X
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.ParenExpr:
-			e = x.X
-		case *ast.UnaryExpr:
-			e = x.X
-		case *ast.CallExpr:
-			sel, ok := unparen(x.Fun).(*ast.SelectorExpr)
-			if !ok {
-				return false
-			}
-			if sel.Sel.Name == "Home" {
-				return true
-			}
-			e = sel.X
-		default:
-			return false
-		}
-	}
-}
-
-// reportCrossLP flags synchronous writes through remotely-addressed state
-// in one function body.
-func reportCrossLP(p *Pass, n *CGNode, writers map[paramKey]bool) {
-	info := n.Pkg.Info
-	taint := remoteTaint(n)
-	report := func(pos token.Pos, what string) {
-		p.Report(pos, fmt.Sprintf(
-			"cross-LP write bypassing the event queue: %s; under PDES this must become a scheduled event (annotate //simlint:lp-owned <reason> with the conversion story)",
-			what))
-	}
-	inspectOwn(n.Body, func(c ast.Node) {
-		switch c := c.(type) {
-		case *ast.AssignStmt:
-			if c.Tok == token.DEFINE {
-				return
-			}
-			for _, lhs := range c.Lhs {
-				// Rebinding a plain local is not a remote write; only
-				// writes THROUGH a remote-rooted chain count.
-				if _, plain := unparen(lhs).(*ast.Ident); plain {
-					continue
-				}
-				if remoteRooted(info, lhs, taint) {
-					report(lhs.Pos(), fmt.Sprintf("assignment to %s, addressed through another node", types.ExprString(lhs)))
-				}
-			}
-		case *ast.IncDecStmt:
-			if _, plain := unparen(c.X).(*ast.Ident); plain {
-				return
-			}
-			if remoteRooted(info, c.X, taint) {
-				report(c.X.Pos(), fmt.Sprintf("update of %s, addressed through another node", types.ExprString(c.X)))
-			}
-		case *ast.CallExpr:
-			callee := staticCallee(info, c)
-			if callee == nil {
-				return
-			}
-			if sel, ok := unparen(c.Fun).(*ast.SelectorExpr); ok {
-				if s, ok := info.Selections[sel]; ok && s.Kind() == types.MethodVal {
-					if writers[paramKey{callee, 0}] && remoteRooted(info, sel.X, taint) {
-						report(c.Pos(), fmt.Sprintf("%s mutates its receiver %s, addressed through another node",
-							callee.Name(), types.ExprString(sel.X)))
-						return
-					}
-				}
-			}
-			sig, ok := callee.Type().(*types.Signature)
-			if !ok {
-				return
-			}
-			for i, arg := range c.Args {
-				j := i
-				if sig.Variadic() && j >= sig.Params().Len()-1 {
-					j = sig.Params().Len() - 1
-				}
-				if writers[paramKey{callee, j + 1}] && remoteRooted(info, arg, taint) {
-					report(c.Pos(), fmt.Sprintf("%s writes through parameter %q, passed %s which addresses another node",
-						callee.Name(), sig.Params().At(j).Name(), types.ExprString(arg)))
-					return
-				}
-			}
-		}
-	})
 }

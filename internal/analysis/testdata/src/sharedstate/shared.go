@@ -1,6 +1,6 @@
-// Package sharedstate exercises the PDES-readiness inventory:
-// package-level mutable state and synchronous cross-LP writes are
-// findings; //simlint:lp-owned suppresses them with a conversion story.
+// Package sharedstate exercises the shared-state check: package-level
+// variables in the engine and memory system are findings, constants are
+// not, and //simlint:ignore sharedstate suppresses one with a reason.
 package sharedstate
 
 var hits int // want `package-level mutable state "hits"`
@@ -8,39 +8,10 @@ var hits int // want `package-level mutable state "hits"`
 // MaxLines is immutable: constants are not shared mutable state.
 const MaxLines = 64
 
-//simlint:lp-owned fixture: set before Run and read-only while the clock advances
+var (
+	a, b int // want `package-level mutable state "a"` `package-level mutable state "b"`
+	_    = MaxLines
+)
+
+//simlint:ignore sharedstate fixture: set before any run starts and read-only afterwards
 var Debug bool
-
-type node struct{ count int }
-
-type system struct{ Nodes []*node }
-
-// Home returns the line's home node.
-func (s *system) Home(line int) *node { return s.Nodes[line%len(s.Nodes)] }
-
-func (n *node) bump() { n.count++ }
-
-func (s *system) touchRemote(line int) {
-	s.Home(line).count++ // want `update of s.Home(line).count, addressed through another node`
-}
-
-func (s *system) touchIndexed(i int) {
-	s.Nodes[i].count = 0 // want `assignment to s.Nodes[i].count, addressed through another node`
-}
-
-func (s *system) viaLocal(line int) {
-	h := s.Home(line)
-	h.count++ // want `update of h.count, addressed through another node`
-}
-
-func (s *system) callRemote(line int) {
-	s.Home(line).bump() // want `bump mutates its receiver`
-}
-
-// ownedTransaction executes at the home node by construction; the doc
-// directive covers the whole function span.
-//
-//simlint:lp-owned fixture: the transaction executes at the home LP; it becomes a request event under PDES
-func (s *system) ownedTransaction(line int) {
-	s.Home(line).count++
-}

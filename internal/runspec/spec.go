@@ -117,16 +117,6 @@ func (sp RunSpec) RunAudited(audit bool) (*core.Result, error) {
 // auditing, observation never changes the simulated result, so observed
 // runs share cache keys with unobserved ones.
 func (sp RunSpec) RunObserved(audit bool, observers ...obs.Observer) (*core.Result, error) {
-	return sp.RunObservedCores(audit, 0, observers...)
-}
-
-// RunObservedCores is RunObserved with the engine's conservative parallel
-// mode enabled on cores workers (core.Options.Workers). Parallel execution
-// is bit-identical to the sequential engine at any worker count, so — like
-// auditing and observation — the core count is a run argument, never part
-// of the spec or its cache keys. Zero cores keeps the classic sequential
-// event loop.
-func (sp RunSpec) RunObservedCores(audit bool, cores int, observers ...obs.Observer) (*core.Result, error) {
 	sp = sp.Normalize()
 	k, err := kernels.NewParams(sp.Kernel, sp.Size, sp.Params)
 	if err != nil {
@@ -134,7 +124,6 @@ func (sp RunSpec) RunObservedCores(audit bool, cores int, observers ...obs.Obser
 	}
 	opts := sp.Options()
 	opts.Audit = audit
-	opts.Workers = cores
 	opts.Observers = observers
 	res, err := core.Run(opts, k)
 	if err != nil {
