@@ -23,7 +23,12 @@ import (
 //     value stored into a location flows to the calls that read it, with
 //     parameter passing and field assignment tracked transitively. The
 //     engine's `ev.fn()` therefore resolves to every callback handed to
-//     Engine.At/After anywhere in the module.
+//     Engine.At/After anywhere in the module;
+//   - iter.Pull(seq) and iter.Pull2(seq) call seq: the coroutine body
+//     runs when the returned next is called, so the edge goes from the
+//     function that creates the coroutine to every value seq may hold.
+//     Without it a simulated process body (sim.Proc is a coroutine) would
+//     sit behind a bodiless stdlib frontier node.
 //
 // The graph is deterministic: nodes are created in package load order and
 // edges are emitted in source order, so analyzer output is byte-stable.
@@ -60,8 +65,8 @@ type CGEdge struct {
 	Site token.Pos
 	// Callee is the resolved target.
 	Callee *CGNode
-	// Kind records how the edge resolved: "static", "interface", or
-	// "funcvalue".
+	// Kind records how the edge resolved: "static", "interface",
+	// "funcvalue", or "coroutine" (iter.Pull to its seq argument).
 	Kind string
 }
 
@@ -133,6 +138,9 @@ type flowSet struct {
 type dynSite struct {
 	caller *CGNode
 	call   *ast.CallExpr
+	// coroutine marks an iter.Pull site: the callee is the seq argument,
+	// not call.Fun.
+	coroutine bool
 }
 
 type ifaceSite struct {
@@ -316,6 +324,9 @@ func (b *graphBuilder) recordCall(n *CGNode, call *ast.CallExpr) {
 		case *types.Func:
 			b.addEdge(n, call.Pos(), b.funcNode(obj), "static")
 			b.recordArgFlows(n, call, obj)
+			if isIterPull(obj) && len(call.Args) == 1 {
+				b.dyn = append(b.dyn, dynSite{caller: n, call: call, coroutine: true})
+			}
 			return
 		case *types.Var:
 			b.dyn = append(b.dyn, dynSite{caller: n, call: call})
@@ -587,8 +598,12 @@ func (b *graphBuilder) resolveDynamic() {
 		}
 	}
 	for _, site := range b.dyn {
-		for _, callee := range b.resolveExpr(site.caller, unparen(site.call.Fun)) {
-			b.addEdge(site.caller, site.call.Pos(), callee, "funcvalue")
+		fun, kind := site.call.Fun, "funcvalue"
+		if site.coroutine {
+			fun, kind = site.call.Args[0], "coroutine"
+		}
+		for _, callee := range b.resolveExpr(site.caller, unparen(fun)) {
+			b.addEdge(site.caller, site.call.Pos(), callee, kind)
 		}
 	}
 }
@@ -606,19 +621,32 @@ func (b *graphBuilder) resolveExpr(n *CGNode, e ast.Expr) []*CGNode {
 		}
 		return nil
 	case *ast.Ident:
-		if v, ok := info.Uses[x].(*types.Var); ok {
-			if s, ok := b.flows[v]; ok {
+		switch obj := info.Uses[x].(type) {
+		case *types.Func:
+			return []*CGNode{b.funcNode(obj)}
+		case *types.Var:
+			if s, ok := b.flows[obj]; ok {
 				set = s.values
 			}
 		}
 	case *ast.SelectorExpr:
-		if sel, ok := info.Selections[x]; ok && sel.Kind() == types.FieldVal {
-			if s, ok := b.flows[sel.Obj().(*types.Var)]; ok {
-				set = s.values
+		if sel, ok := info.Selections[x]; ok {
+			switch sel.Kind() {
+			case types.FieldVal:
+				if s, ok := b.flows[sel.Obj().(*types.Var)]; ok {
+					set = s.values
+				}
+			case types.MethodVal:
+				return []*CGNode{b.funcNode(sel.Obj().(*types.Func))}
 			}
-		} else if v, ok := info.Uses[x.Sel].(*types.Var); ok {
-			if s, ok := b.flows[v]; ok {
-				set = s.values
+		} else {
+			switch obj := info.Uses[x.Sel].(type) {
+			case *types.Func:
+				return []*CGNode{b.funcNode(obj)}
+			case *types.Var:
+				if s, ok := b.flows[obj]; ok {
+					set = s.values
+				}
 			}
 		}
 	}
@@ -716,6 +744,12 @@ func shortFuncName(fn *types.Func) string {
 	}
 	recvName := types.TypeString(recv, func(*types.Package) string { return "" })
 	return fmt.Sprintf("(%s%s%s).%s", star, pkgName, recvName, fn.Name())
+}
+
+// isIterPull reports whether fn is iter.Pull or iter.Pull2.
+func isIterPull(fn *types.Func) bool {
+	return fn.Pkg() != nil && fn.Pkg().Path() == "iter" &&
+		(fn.Name() == "Pull" || fn.Name() == "Pull2")
 }
 
 // isFuncValued reports whether the expression has function type.

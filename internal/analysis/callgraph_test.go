@@ -63,6 +63,18 @@ func TestCallGraphMethodValue(t *testing.T) {
 	wantEdge(t, loadGraph(t), "callgraph.CallMethodValue", "(callgraph.Impl).Do", "funcvalue")
 }
 
+func TestCallGraphIterPull(t *testing.T) {
+	// iter.Pull(g.Body) runs g.Body when next is called: the edge goes
+	// from the coroutine's creator to its body, so reachability does not
+	// stop at the bodiless stdlib node.
+	g := loadGraph(t)
+	wantEdge(t, g, "callgraph.Coroutine", "(callgraph.Gen).Body", "coroutine")
+	root := g.LookupName("callgraph.Coroutine")
+	if _, ok := g.Reachable([]*CGNode{root})[g.LookupName("(callgraph.Gen).Body")]; !ok {
+		t.Error("Body not reachable from Coroutine")
+	}
+}
+
 // TestCallGraphReachable pins BFS reachability and path reconstruction
 // over the fixture: target is reached from Static with a two-node chain.
 func TestCallGraphReachable(t *testing.T) {

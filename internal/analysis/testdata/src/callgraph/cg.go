@@ -1,7 +1,10 @@
 // Package callgraph is the call-graph builder's unit-test fixture: one
 // example each of a static call, interface dispatch, a stored closure
-// called later, and a method value called through a variable.
+// called later, a method value called through a variable, and a
+// coroutine body handed to iter.Pull.
 package callgraph
+
+import "iter"
 
 type Doer interface{ Do() }
 
@@ -28,4 +31,14 @@ func CallMethodValue() {
 	var i Impl
 	f := i.Do
 	f()
+}
+
+type Gen struct{}
+
+func (Gen) Body(yield func(int) bool) { yield(1) }
+
+func Coroutine(g Gen) {
+	next, stop := iter.Pull(g.Body)
+	defer stop()
+	next()
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -68,6 +69,25 @@ func TestMaxCyclesGuard(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "exceeded") {
 		t.Fatalf("error does not mention the cycle budget: %v", err)
+	}
+}
+
+// TestFailedRunsReleaseProcesses pins that a run abandoned on deadlock
+// or on its cycle budget unwinds its suspended processes: a long-lived
+// caller (slipsimd) must not keep one coroutine stack per failed spec.
+// Release is synchronous, so the count is back at once.
+func TestFailedRunsReleaseProcesses(t *testing.T) {
+	base := runtime.NumGoroutine()
+	for i := 0; i < 50; i++ {
+		if _, err := Run(Options{Mode: ModeSingle, CMPs: 2}, &deadlockKernel{}); err == nil {
+			t.Fatal("deadlocked run returned no error")
+		}
+		if _, err := Run(Options{Mode: ModeSingle, CMPs: 1, MaxCycles: 5_000_000}, &spinKernel{}); err == nil {
+			t.Fatal("runaway kernel returned no error")
+		}
+	}
+	if got := runtime.NumGoroutine(); got > base {
+		t.Fatalf("goroutines = %d after 100 failed runs, want <= %d", got, base)
 	}
 }
 

@@ -54,6 +54,9 @@ func Run(opts Options, k Kernel) (*Result, error) {
 		return nil, err
 	}
 	eng := sim.NewEngine()
+	// A run that fails (deadlock, cycle budget) leaves processes suspended;
+	// release them so a long-lived caller does not keep their stacks.
+	defer eng.Release()
 	sys, err := memsys.NewSystem(eng, opts.Machine)
 	if err != nil {
 		return nil, err

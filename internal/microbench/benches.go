@@ -21,6 +21,7 @@ func All() []Benchmark {
 		{Name: "sim/queue/heap/hold", Fn: benchQueueHold(sim.QueueHeap)},
 		{Name: "sim/queue/calendar/hold", Fn: benchQueueHold(sim.QueueCalendar)},
 		{Name: "sim/engine/step", Fn: benchEngineStep},
+		{Name: "sim/proc/switch", Fn: benchProcSwitch},
 		{Name: "memsys/dir/lookup", Fn: benchDirLookup},
 		{Name: "memsys/dir/sharer-scan", Fn: benchSharerScan},
 		{Name: "memsys/l1/read-hit", Fn: benchL1ReadHit},
@@ -82,6 +83,37 @@ func benchEngineStep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		eng.Step()
 	}
+}
+
+// benchProcSwitch measures process dispatch: two processes ping with
+// Delay(1), so every Step resumes one coroutine and returns when it
+// yields back. Steady state must be zero-alloc (asserted by
+// TestProcSwitchZeroAlloc).
+func benchProcSwitch(b *testing.B) {
+	b.ReportAllocs()
+	eng := newProcPing()
+	defer eng.Release()
+	for i := 0; i < 64; i++ {
+		eng.Step()
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		eng.Step()
+	}
+}
+
+// newProcPing returns an engine running two processes that each wait one
+// cycle forever; the caller releases them.
+func newProcPing() *sim.Engine {
+	eng := sim.NewEngine()
+	for _, name := range []string{"ping", "pong"} {
+		eng.Go(name, func(p *sim.Proc) {
+			for {
+				p.Delay(1)
+			}
+		})
+	}
+	return eng
 }
 
 // benchDirLookup measures home-directory entry lookup over a populated

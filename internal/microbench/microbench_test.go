@@ -147,6 +147,19 @@ func TestEngineStepZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestProcSwitchZeroAlloc asserts that resuming a process and taking its
+// yield back — one coroutine switch each way — allocates nothing.
+func TestProcSwitchZeroAlloc(t *testing.T) {
+	eng := newProcPing()
+	defer eng.Release()
+	for i := 0; i < 64; i++ {
+		eng.Step()
+	}
+	if avg := testing.AllocsPerRun(1000, func() { eng.Step() }); avg != 0 {
+		t.Errorf("process switch allocates %.2f per op at steady state, want 0", avg)
+	}
+}
+
 // TestQueueHoldCalendarZeroAlloc asserts the calendar queue stays
 // zero-alloc under the hold workload's pseudo-random delays (bucket
 // storage is warm and stable).

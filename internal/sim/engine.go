@@ -1,15 +1,18 @@
 // Package sim provides a deterministic discrete-event simulation engine.
 //
 // The engine maintains a virtual clock and an event queue ordered by
-// (time, insertion sequence). Simulated processes (Proc) are goroutines
-// driven by strict handoff: exactly one goroutine — either the event loop
-// or a single process — executes at any moment, so simulations are fully
-// deterministic and free of data races without locks. One event loop
-// executes every event; concurrency lives only across independent runs
-// (each with its own Engine), never inside one.
+// (time, insertion sequence). Simulated processes (Proc) are coroutines
+// (iter.Pull): an event resumes a process, which runs until it yields back
+// to the event loop, so exactly one of them executes at any moment and
+// simulations are fully deterministic and free of data races without
+// locks. One event loop executes every event; concurrency lives only
+// across independent runs (each with its own Engine), never inside one.
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Monitor observes engine progress. It exists for runtime auditing
 // (internal/audit): the engine calls Step after executing each event, so a
@@ -84,24 +87,37 @@ func (e *Engine) Step() bool {
 	return true
 }
 
-// Run executes events until the queue is empty.
-func (e *Engine) Run() {
-	for e.Step() {
-	}
-}
+// Run executes events until the queue is empty: RunUntil with no deadline.
+func (e *Engine) Run() { e.RunUntil(math.MaxInt64) }
 
 // RunUntil executes events with time <= deadline. It reports whether the
 // queue drained (true) or the deadline was hit with events pending (false).
+// A panic in a process body reaches the caller with its original value,
+// after every other process has been released.
 func (e *Engine) RunUntil(deadline int64) bool {
-	for {
-		t, ok := e.events.peekTime()
-		if !ok {
-			return true
+	returned := false
+	defer func() {
+		if !returned {
+			e.Release()
 		}
-		if t > deadline {
-			return false
+	}()
+	for {
+		t, pending := e.events.peekTime()
+		if !pending || t > deadline {
+			returned = true
+			return !pending
 		}
 		e.Step()
+	}
+}
+
+// Release unwinds every process that has not finished, so none keeps its
+// coroutine stack after the simulation is abandoned (deadlock, cycle
+// budget, or panic). A process that never ran is just marked done. It must
+// be called from outside the event loop; released processes never resume.
+func (e *Engine) Release() {
+	for _, p := range e.procs {
+		p.release()
 	}
 }
 

@@ -1,24 +1,31 @@
+//go:build go1.23
+
 package sim
 
-// errKilled is the sentinel panic value used to unwind a killed process.
+import "iter"
+
+// killedError is the sentinel panic value used to unwind a killed process.
 type killedError struct{}
 
 func (killedError) Error() string { return "sim: process killed" }
 
-// Proc is a simulated process: a goroutine whose execution is interleaved
-// with simulated time under strict handoff. All Proc methods except Kill
-// and Wake must be called from the process's own goroutine.
+// Proc is a simulated process: a coroutine (iter.Pull) whose execution is
+// interleaved with simulated time. Control moves between the event loop
+// and a process only by direct coroutine switches, never through the Go
+// scheduler. All Proc methods except Kill and Wake must be called from the
+// process's own body.
 type Proc struct {
 	eng *Engine
-	// resume/yieldCh are this process's strict-handoff pair: dispatch sends
-	// on resume and blocks on yieldCh; the process does the reverse, so a
-	// handoff only ever involves the dispatcher and this one goroutine.
-	resume  chan struct{}
-	yieldCh chan struct{}
-	name    string
-	done    bool
-	parked  bool
-	killed  bool
+	// next resumes the coroutine until its next yield; stop unwinds a
+	// suspended coroutine. Both are nil until the process first runs.
+	next   func() (struct{}, bool)
+	stop   func()
+	yieldc func(struct{}) bool
+	fn     func(p *Proc)
+	name   string
+	done   bool
+	parked bool
+	killed bool
 
 	// dispatchFn is the bound dispatch method, created once at Go so the
 	// wait/wake hot paths (WaitUntil, Wake, Kill) schedule it without
@@ -27,50 +34,47 @@ type Proc struct {
 }
 
 // Go starts a new simulated process running fn. The process begins at the
-// current simulated time, after already-queued events at this time.
-// The goroutine-and-channel machinery below is the one sanctioned use of
-// concurrency in simulation code: resume/yield implement strict handoff,
-// so exactly one goroutine — the event loop or a single process — runs at
-// any moment and the interleaving is fully determined by the event queue.
+// current simulated time, after already-queued events at this time. Its
+// coroutine is created when it first runs, so a process released before
+// then never holds a stack.
 func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
-	//simlint:ignore nondeterminism strict handoff: resume carries control to exactly one parked goroutine
-	//simlint:ignore hotpathalloc one process record and channel pair per spawned task, amortized over its simulated lifetime
-	p := &Proc{eng: e, resume: make(chan struct{}), name: name}
-	//simlint:ignore nondeterminism strict handoff: yieldCh returns control from exactly this goroutine to its dispatcher
-	//simlint:ignore hotpathalloc one yield channel per spawned task, amortized over its simulated lifetime
-	p.yieldCh = make(chan struct{})
+	//simlint:ignore hotpathalloc one process record per spawned task, amortized over its simulated lifetime
+	p := &Proc{eng: e, fn: fn, name: name}
 	p.dispatchFn = p.dispatch
 	//simlint:ignore hotpathalloc process table is bounded by the spawned task count
 	e.procs = append(e.procs, p)
-	//simlint:ignore hotpathalloc one trampoline closure per spawned process, amortized over its lifetime
-	e.After(0, func() {
-		//simlint:ignore nondeterminism strict handoff: the new goroutine blocks on resume before running
-		//simlint:ignore hotpathalloc one goroutine-body closure per spawned process, amortized over its lifetime
-		go func() {
-			//simlint:ignore hotpathalloc one deferred-cleanup closure per spawned process, amortized over its lifetime
-			defer func() {
-				p.done = true
-				p.parked = false
-				if r := recover(); r != nil {
-					if _, ok := r.(killedError); !ok {
-						// Re-panicking in a goroutine would crash without
-						// context; surface the original value.
-						//simlint:ignore nondeterminism strict handoff: hands control back to the event loop
-						p.yieldCh <- struct{}{}
-						panic(r)
-					}
-				}
-				//simlint:ignore nondeterminism strict handoff: hands control back to the event loop
-				p.yieldCh <- struct{}{}
-			}()
-			//simlint:ignore nondeterminism strict handoff: blocks until the event loop dispatches this process
-			<-p.resume
-			p.checkKilled()
-			fn(p)
-		}()
-		p.dispatch()
-	})
+	e.After(0, p.start)
 	return p
+}
+
+// start creates the process's coroutine and runs it to its first yield.
+func (p *Proc) start() {
+	if p.done {
+		return
+	}
+	p.next, p.stop = iter.Pull(p.body)
+	p.dispatch()
+}
+
+// body is the coroutine: it runs fn and turns a Kill or stop unwind into
+// a normal return. Any other panic propagates to the dispatch that
+// resumed the process, and from there to the caller of Engine.Run.
+func (p *Proc) body(yield func(struct{}) bool) {
+	p.yieldc = yield
+	defer p.finish()
+	p.checkKilled()
+	p.fn(p)
+}
+
+// finish marks the process done and swallows the killedError unwind.
+func (p *Proc) finish() {
+	p.done = true
+	p.parked = false
+	if r := recover(); r != nil {
+		if _, ok := r.(killedError); !ok {
+			panic(r)
+		}
+	}
 }
 
 // Name returns the process name given to Go.
@@ -82,25 +86,22 @@ func (p *Proc) Done() bool { return p.done }
 // Killed reports whether Kill was called on the process.
 func (p *Proc) Killed() bool { return p.killed }
 
-// dispatch transfers control from the event loop (or the currently running
-// process) into p, and returns when p yields back.
+// dispatch switches from the event loop into p's coroutine, and returns
+// when p yields back.
 func (p *Proc) dispatch() {
 	if p.done {
 		return
 	}
 	p.parked = false
-	//simlint:ignore nondeterminism strict handoff: control moves to p, then blocks here until p yields
-	p.resume <- struct{}{}
-	//simlint:ignore nondeterminism strict handoff: control moves to p, then blocks here until p yields
-	<-p.yieldCh
+	p.next()
 }
 
-// yield returns control to the event loop and blocks until dispatched again.
+// yield switches back to the event loop and returns when p is dispatched
+// again. A false return means stop released the process: unwind it.
 func (p *Proc) yield() {
-	//simlint:ignore nondeterminism strict handoff: returns control to the event loop, then blocks until redispatched
-	p.yieldCh <- struct{}{}
-	//simlint:ignore nondeterminism strict handoff: returns control to the event loop, then blocks until redispatched
-	<-p.resume
+	if !p.yieldc(struct{}{}) {
+		panic(killedError{})
+	}
 	p.checkKilled()
 }
 
@@ -108,6 +109,18 @@ func (p *Proc) checkKilled() {
 	if p.killed {
 		panic(killedError{})
 	}
+}
+
+// release unwinds a suspended process, or marks one that never ran done.
+func (p *Proc) release() {
+	if p.done {
+		return
+	}
+	if p.stop == nil {
+		p.done = true
+		return
+	}
+	p.stop()
 }
 
 // WaitUntil blocks the process until absolute simulated time t.
@@ -137,7 +150,7 @@ func (p *Proc) Wake(t int64) {
 }
 
 // Kill marks the process as killed and, if it is parked, wakes it so that
-// it unwinds. The process's goroutine exits at its next blocking point.
+// it unwinds. The process unwinds at its next blocking point.
 func (p *Proc) Kill() {
 	if p.done || p.killed {
 		return

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"runtime"
 	"testing"
 )
 
@@ -156,5 +157,76 @@ func TestProcSpawnedMidRun(t *testing.T) {
 	e.Run()
 	if len(trace) != 2 || trace[0] != 15 || trace[1] != 30 {
 		t.Fatalf("trace = %v, want [15 30]", trace)
+	}
+}
+
+// TestPanicReachesRunCaller pins panic propagation: a panic in a process
+// body (anything but the kill unwind) reaches the caller of Run with its
+// original value, and every other process is released on the way out.
+func TestPanicReachesRunCaller(t *testing.T) {
+	base := runtime.NumGoroutine()
+	e := NewEngine()
+	parked := e.Go("parked", func(p *Proc) { p.Park() })
+	waiting := e.Go("waiting", func(p *Proc) { p.Delay(1000) })
+	var late, orphan *Proc
+	e.At(2, func() {
+		late = e.Go("late", func(p *Proc) { p.Park() })
+	})
+	e.Go("bad", func(p *Proc) {
+		p.Delay(3)
+		// orphan's first dispatch is still queued when the panic hits.
+		orphan = e.Go("orphan", func(p *Proc) { t.Error("orphan ran") })
+		panic("kernel bug")
+	})
+	var got any
+	func() {
+		defer func() { got = recover() }()
+		e.Run()
+	}()
+	if got != "kernel bug" {
+		t.Fatalf("recovered %#v, want the original panic value", got)
+	}
+	for _, p := range []*Proc{parked, waiting, late, orphan} {
+		if !p.Done() {
+			t.Errorf("%s not released", p.Name())
+		}
+	}
+	if b := e.Blocked(); len(b) != 0 {
+		t.Errorf("Blocked = %v after the panic, want none", b)
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Errorf("goroutines = %d after the panic, want <= %d", n, base)
+	}
+}
+
+// TestReleaseUnwindsSuspended pins Release: suspended processes unwind
+// (their deferred calls run), processes that never ran are marked done
+// without running, and a later Run does not resume any of them.
+func TestReleaseUnwindsSuspended(t *testing.T) {
+	base := runtime.NumGoroutine()
+	e := NewEngine()
+	unwound := 0
+	for i := 0; i < 3; i++ {
+		e.Go("stuck", func(p *Proc) {
+			defer func() { unwound++ }()
+			p.Park()
+			t.Error("released process resumed")
+		})
+	}
+	e.Run()
+	if len(e.Blocked()) != 3 {
+		t.Fatalf("Blocked = %v, want three parked processes", e.Blocked())
+	}
+	never := e.Go("never", func(p *Proc) { t.Error("released process started") })
+	e.Release()
+	if unwound != 3 {
+		t.Errorf("unwound = %d, want 3", unwound)
+	}
+	if !never.Done() || len(e.Blocked()) != 0 {
+		t.Errorf("never.Done = %v, Blocked = %v after Release", never.Done(), e.Blocked())
+	}
+	e.Run()
+	if n := runtime.NumGoroutine(); n > base {
+		t.Errorf("goroutines = %d after Release, want <= %d", n, base)
 	}
 }

@@ -20,7 +20,7 @@ func eventLess(a, b event) bool {
 
 // eventQueue is the engine's scheduler: a priority queue of events ordered
 // by (at, seq). Implementations are single-goroutine data structures; the
-// engine's strict handoff guarantees no concurrent access.
+// engine's coroutine handoff guarantees no concurrent access.
 type eventQueue interface {
 	// push inserts an event. The engine guarantees at >= the time of the
 	// most recently popped event.
