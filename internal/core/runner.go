@@ -54,13 +54,18 @@ func Run(opts Options, k Kernel) (*Result, error) {
 		return nil, err
 	}
 	eng := sim.NewEngine()
-	// A run that fails (deadlock, cycle budget) leaves processes suspended;
-	// release them so a long-lived caller does not keep their stacks.
-	defer eng.Release()
 	sys, err := memsys.NewSystem(eng, opts.Machine)
 	if err != nil {
 		return nil, err
 	}
+	defer func() {
+		// A run that fails (deadlock, cycle budget) leaves processes
+		// suspended; release them so a long-lived caller does not keep
+		// their stacks. They unwind through core code, so the memory
+		// system hands its cache frames to the next run only after them.
+		eng.Release()
+		sys.Release()
+	}()
 	sys.Classify = opts.Mode == ModeSlipstream
 
 	// All observation consumers — caller observers, the trace collector,

@@ -85,9 +85,10 @@ type Line struct {
 }
 
 // Cache is a set-associative cache with LRU replacement. It stores tags
-// and coherence metadata only.
+// and coherence metadata only. Set i occupies frames[i*assoc:(i+1)*assoc].
 type Cache struct {
-	sets     [][]Line
+	frames   []Line
+	assoc    int
 	lineSize int
 	nsets    int
 	clock    int64
@@ -96,27 +97,31 @@ type Cache struct {
 // NewCache returns a cache of the given total size in bytes, associativity,
 // and line size.
 func NewCache(size, assoc, lineSize int) *Cache {
+	c := newCache(size, assoc, lineSize)
+	c.frames = make([]Line, c.nframes())
+	return c
+}
+
+// newCache returns a cache with its geometry set and no frames yet.
+func newCache(size, assoc, lineSize int) *Cache {
 	nsets := size / (assoc * lineSize)
 	if nsets < 1 {
 		nsets = 1
 	}
-	c := &Cache{lineSize: lineSize, nsets: nsets}
-	c.sets = make([][]Line, nsets)
-	ways := make([]Line, nsets*assoc)
-	for i := range c.sets {
-		c.sets[i], ways = ways[:assoc:assoc], ways[assoc:]
-	}
-	return c
+	return &Cache{assoc: assoc, lineSize: lineSize, nsets: nsets}
 }
 
 // Sets returns the number of sets.
 func (c *Cache) Sets() int { return c.nsets }
 
 // Assoc returns the associativity.
-func (c *Cache) Assoc() int { return len(c.sets[0]) }
+func (c *Cache) Assoc() int { return c.assoc }
+
+func (c *Cache) nframes() int { return c.nsets * c.assoc }
 
 func (c *Cache) set(line Addr) []Line {
-	return c.sets[int(line/Addr(c.lineSize))%c.nsets]
+	i := int(line/Addr(c.lineSize)) % c.nsets * c.assoc
+	return c.frames[i : i+c.assoc : i+c.assoc]
 }
 
 // Lookup returns the valid line holding the line-aligned address, or nil.
@@ -156,21 +161,15 @@ func (c *Cache) Victim(line Addr) *Line {
 // Reset invalidates every line and clears metadata (used when a cache is
 // reused across runs).
 func (c *Cache) Reset() {
-	for _, set := range c.sets {
-		for i := range set {
-			set[i] = Line{}
-		}
-	}
+	clear(c.frames)
 	c.clock = 0
 }
 
 // ForEachValid calls fn for every valid line.
 func (c *Cache) ForEachValid(fn func(*Line)) {
-	for _, set := range c.sets {
-		for i := range set {
-			if set[i].State != Invalid {
-				fn(&set[i])
-			}
+	for i := range c.frames {
+		if c.frames[i].State != Invalid {
+			fn(&c.frames[i])
 		}
 	}
 }

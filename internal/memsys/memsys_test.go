@@ -263,6 +263,43 @@ func TestFunctionalMemory(t *testing.T) {
 	}
 }
 
+// TestReleaseRecyclesZeroedFrames pins frame recycling: a system built
+// after another was used and released starts with every cache empty, so
+// its first access misses exactly as on a fresh machine, and the released
+// system's caches keep no frames.
+func TestReleaseRecyclesZeroedFrames(t *testing.T) {
+	fresh, _ := newSys(t, 2)
+	a := addrHomedAt(fresh, 1)
+	want := read(fresh, fresh.Nodes[0].CPUs[0], a, 0)
+	for i := 0; i < 4; i++ {
+		s, _ := newSys(t, 2)
+		valid := 0
+		count := func(*Line) { valid++ }
+		for _, n := range s.Nodes {
+			n.L2.ForEachValid(count)
+			for _, cpu := range n.CPUs {
+				cpu.L1.ForEachValid(count)
+			}
+		}
+		if valid != 0 {
+			t.Fatalf("system %d starts with %d valid lines, want 0", i, valid)
+		}
+		if got := read(s, s.Nodes[0].CPUs[0], a, 0); got != want {
+			t.Fatalf("system %d: first remote read completes at %d, want %d", i, got, want)
+		}
+		now := int64(0)
+		for line := Addr(0); line < 4096*Addr(s.P.LineSize); line += Addr(s.P.LineSize) {
+			now = write(s, s.CPUByID(int(line/Addr(s.P.LineSize))%4), line, now)
+		}
+		s.Release()
+		for _, n := range s.Nodes {
+			if n.L2.frames != nil || n.CPUs[0].L1.frames != nil {
+				t.Fatal("released system's caches still hold frames")
+			}
+		}
+	}
+}
+
 func TestHomeInterleaving(t *testing.T) {
 	s, _ := newSys(t, 4)
 	counts := make([]int, 4)

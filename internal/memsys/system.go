@@ -2,6 +2,7 @@ package memsys
 
 import (
 	"fmt"
+	"sync"
 
 	"slipstream/internal/obs"
 	"slipstream/internal/sim"
@@ -83,6 +84,9 @@ type System struct {
 
 	Nodes []*Node
 
+	// frames backs every cache's lines: one array, recycled by Release.
+	frames []Line
+
 	// Classify enables request classification (Figure 7). It is turned on
 	// for slipstream-mode runs, where accesses carry stream roles.
 	Classify bool
@@ -114,25 +118,86 @@ func NewSystem(eng *sim.Engine, p Params) (*System, error) {
 	}
 	s := &System{P: p, Eng: eng, Mem: NewMem(p.LineSize)}
 	s.Nodes = make([]*Node, p.Nodes)
+	var caches []*Cache
 	for i := range s.Nodes {
 		n := &Node{
 			ID:      i,
 			sys:     s,
-			L2:      NewCache(p.L2Size, p.L2Assoc, p.LineSize),
+			L2:      newCache(p.L2Size, p.L2Assoc, p.LineSize),
 			Dir:     NewDirectory(),
 			dcBanks: make([]sim.Resource, p.DCBanks),
 		}
+		caches = append(caches, n.L2)
 		for slot := 0; slot < 2; slot++ {
 			n.CPUs[slot] = &CPU{
 				ID:   i*2 + slot,
 				Slot: slot,
 				Node: n,
-				L1:   NewCache(p.L1Size, p.L1Assoc, p.LineSize),
+				L1:   newCache(p.L1Size, p.L1Assoc, p.LineSize),
 			}
+			caches = append(caches, n.CPUs[slot].L1)
 		}
 		s.Nodes[i] = n
 	}
+	total := 0
+	for _, c := range caches {
+		total += c.nframes()
+	}
+	s.frames = takeFrames(total)
+	off := 0
+	for _, c := range caches {
+		n := c.nframes()
+		c.frames = s.frames[off : off+n : off+n]
+		off += n
+	}
 	return s, nil
+}
+
+// spare holds the frame array of the last released system. At the paper's
+// geometry a machine has ~8 MB of frames; handing them from one run to the
+// next keeps back-to-back runs from allocating, and the GC from
+// collecting, that much per run. One slot bounds what an idle process
+// keeps to one machine's frames.
+//
+//simlint:ignore sharedstate guarded by its mutex, and takeFrames zeroes the array before reuse, so no run sees another's lines
+var spare struct {
+	sync.Mutex
+	frames []Line
+}
+
+// takeFrames returns n zeroed frames, reusing the spare array when it is
+// large enough.
+func takeFrames(n int) []Line {
+	spare.Lock()
+	f := spare.frames
+	if cap(f) < n {
+		spare.Unlock()
+		return make([]Line, n)
+	}
+	spare.frames = nil
+	spare.Unlock()
+	f = f[:n]
+	clear(f)
+	return f
+}
+
+// Release hands the system's cache frames to a later NewSystem. The system
+// must not be used afterwards; its caches no longer hold frames.
+func (s *System) Release() {
+	if s.frames == nil {
+		return
+	}
+	f := s.frames
+	s.frames = nil
+	for _, n := range s.Nodes {
+		n.L2.frames = nil
+		for _, cpu := range n.CPUs {
+			cpu.L1.frames = nil
+		}
+	}
+	spare.Lock()
+	spare.frames = f
+	spare.Unlock()
 }
 
 // CPUByID returns the processor with the given global id.
