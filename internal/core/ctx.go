@@ -137,9 +137,9 @@ func (c *Ctx) access(kind memsys.AccessKind, addr memsys.Addr) {
 		}
 	}
 	hitCost := sys.P.L1Hit
-	if sys.IsL1Hit(req) {
+	if done, ok := sys.AccessL1(req, c.vnow); ok {
 		// Private hit: advance the local clock only.
-		c.vnow = sys.Access(req, c.vnow)
+		c.vnow = done
 		c.bd.Busy += hitCost
 		c.maybeYield()
 		return

@@ -60,16 +60,43 @@ type Req struct {
 // guarding this contract: prediction true implies Access charges exactly
 // Params.L1Hit cycles and leaves directory, L2, and all non-L1Hits
 // counters unchanged.
-func (s *System) IsL1Hit(r Req) bool {
+func (s *System) IsL1Hit(r Req) bool { return s.privateHit(r) != nil }
+
+// privateHit returns the L1 line a private hit (see IsL1Hit) touches, or
+// nil when the access is not one.
+func (s *System) privateHit(r Req) *Line {
 	if r.Kind != Read && r.InCS {
-		return false // the hit path would mutate L2 (WrittenInCS)
+		return nil // the hit path would mutate L2 (WrittenInCS)
 	}
-	line := r.Addr.Line(s.P.LineSize)
-	l1 := r.CPU.L1.Lookup(line)
+	l1 := r.CPU.L1.Lookup(r.Addr.Line(s.P.LineSize))
 	if l1 == nil || (l1.Transparent && r.Role != RoleA) {
-		return false
+		return nil
 	}
-	return r.Kind == Read || l1.State == Exclusive
+	if r.Kind != Read && l1.State != Exclusive {
+		return nil
+	}
+	return l1
+}
+
+// AccessL1 simulates the access if it is a private L1 hit (IsL1Hit) and
+// returns its completion time, exactly as Access would. Otherwise it
+// reports false and changes nothing, and the caller goes on to Access. A
+// private hit so costs one L1 probe instead of a prediction plus an
+// access. With a bus attached the hit goes through the observed Access,
+// so observers and the auditor see the same events either way.
+//
+//simlint:hotpath private-hit path: most loads and stores of every simulated task end here
+func (s *System) AccessL1(r Req, now int64) (int64, bool) {
+	l1 := s.privateHit(r)
+	if l1 == nil {
+		return 0, false
+	}
+	if s.Bus != nil {
+		return s.observedAccess(r, now), true
+	}
+	r.CPU.L1.Touch(l1)
+	s.MS.L1Hits++
+	return now + s.P.L1Hit, true
 }
 
 // Access simulates one data access beginning at time now and returns its

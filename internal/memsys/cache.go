@@ -1,5 +1,10 @@
 package memsys
 
+import (
+	"fmt"
+	"math/bits"
+)
+
 // LineState is the coherence state of a cached line. The model merges the
 // usual E and M states: Exclusive means this cache holds the only copy and
 // may write it (a dirty copy that must be written back when displaced).
@@ -57,7 +62,9 @@ type reqRec struct {
 }
 
 // Line is one cache line's metadata. Data is not stored here; all values
-// live in the flat functional memory.
+// live in the flat functional memory. A Line is 32 bytes and holds no
+// pointers, so a machine's frames are one compact array the garbage
+// collector never scans.
 type Line struct {
 	Addr  Addr // line-aligned address, meaningful when State != Invalid
 	State LineState
@@ -76,21 +83,27 @@ type Line struct {
 	// invalidates it rather than downgrading.
 	WrittenInCS bool
 
+	// rec is the line's slot in System.recs holding its open
+	// classification records, or 0 when it has none.
+	rec int32
+
 	// FillDone is the simulated time the most recent fill completes.
 	// Accesses arriving earlier merge with the outstanding fill.
 	FillDone int64
 
-	lru  int64
-	recs []reqRec
+	lru int64
 }
 
 // Cache is a set-associative cache with LRU replacement. It stores tags
 // and coherence metadata only. Set i occupies frames[i*assoc:(i+1)*assoc].
 type Cache struct {
-	frames   []Line
-	assoc    int
-	lineSize int
-	nsets    int
+	frames    []Line
+	assoc     int
+	nsets     int
+	lineShift uint // log2 of the line size
+	// maskSets is set when nsets is a power of two (Table 1's
+	// geometries): the set index is then a mask, otherwise a remainder.
+	maskSets bool
 	clock    int64
 }
 
@@ -102,13 +115,19 @@ func NewCache(size, assoc, lineSize int) *Cache {
 	return c
 }
 
-// newCache returns a cache with its geometry set and no frames yet.
+// newCache returns a cache with its geometry set and no frames yet. The
+// line size must be a power of two (Params.Validate checks it).
 func newCache(size, assoc, lineSize int) *Cache {
+	if lineSize < 1 || lineSize&(lineSize-1) != 0 {
+		panic(fmt.Sprintf("memsys: line size %d is not a power of two", lineSize))
+	}
 	nsets := size / (assoc * lineSize)
 	if nsets < 1 {
 		nsets = 1
 	}
-	return &Cache{assoc: assoc, lineSize: lineSize, nsets: nsets}
+	c := &Cache{assoc: assoc, nsets: nsets, lineShift: uint(bits.TrailingZeros(uint(lineSize)))}
+	c.maskSets = nsets&(nsets-1) == 0
+	return c
 }
 
 // Sets returns the number of sets.
@@ -120,7 +139,13 @@ func (c *Cache) Assoc() int { return c.assoc }
 func (c *Cache) nframes() int { return c.nsets * c.assoc }
 
 func (c *Cache) set(line Addr) []Line {
-	i := int(line/Addr(c.lineSize)) % c.nsets * c.assoc
+	n := line >> c.lineShift
+	if c.maskSets {
+		n &= Addr(c.nsets - 1)
+	} else {
+		n %= Addr(c.nsets)
+	}
+	i := int(n) * c.assoc
 	return c.frames[i : i+c.assoc : i+c.assoc]
 }
 
@@ -174,10 +199,8 @@ func (c *Cache) ForEachValid(fn func(*Line)) {
 	}
 }
 
-// clearLine resets a frame to Invalid. LRU state and the (emptied)
-// classification-record slice survive: keeping the slice's capacity lets a
-// frame that cycles through residencies reuse one backing array instead of
-// reallocating records on every refill.
+// clearLine resets a frame to Invalid, keeping only its LRU state. An L2
+// line's classification records must be closed first (closeRecs).
 func clearLine(l *Line) {
-	*l = Line{lru: l.lru, recs: l.recs[:0]}
+	*l = Line{lru: l.lru}
 }

@@ -1,9 +1,12 @@
 package memsys
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"slipstream/internal/sim"
 )
@@ -32,6 +35,22 @@ func TestCacheLRUVictim(t *testing.T) {
 	}
 }
 
+// TestLineLayout pins the frame layout: 32 bytes and no pointers, so a
+// machine's frames stay compact and outside the garbage collector's scan.
+func TestLineLayout(t *testing.T) {
+	if got := unsafe.Sizeof(Line{}); got != 32 {
+		t.Errorf("Line is %d bytes, want 32", got)
+	}
+	typ := reflect.TypeOf(Line{})
+	for i := 0; i < typ.NumField(); i++ {
+		switch f := typ.Field(i); f.Type.Kind() {
+		case reflect.Pointer, reflect.UnsafePointer, reflect.Slice, reflect.Map,
+			reflect.String, reflect.Interface, reflect.Func, reflect.Chan, reflect.Struct, reflect.Array:
+			t.Errorf("Line.%s is a %v; frames must hold scalars only", f.Name, f.Type.Kind())
+		}
+	}
+}
+
 func TestCacheReset(t *testing.T) {
 	c := NewCache(1<<10, 2, 64)
 	l := c.Victim(0)
@@ -44,16 +63,25 @@ func TestCacheReset(t *testing.T) {
 }
 
 // Property: the cache agrees with a reference model (map + per-set LRU
-// order) over random access sequences.
+// order) over random access sequences, both when the set index is a mask
+// (a power-of-two set count) and when it is a remainder.
 func TestCacheMatchesReferenceModel(t *testing.T) {
+	for _, sets := range []int{8, 6} {
+		t.Run(fmt.Sprintf("sets=%d", sets), func(t *testing.T) { checkCacheReference(t, sets) })
+	}
+}
+
+func checkCacheReference(t *testing.T, sets int) {
 	const (
 		lineSize = 64
 		assoc    = 4
-		sets     = 8
 	)
 	f := func(seed int64, steps uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		c := NewCache(sets*assoc*lineSize, assoc, lineSize)
+		if c.Sets() != sets {
+			t.Fatalf("Sets() = %d, want %d", c.Sets(), sets)
+		}
 		// Reference: per-set slice in LRU order (front = oldest).
 		ref := make([][]Addr, sets)
 		setOf := func(a Addr) int { return int(a/lineSize) % sets }

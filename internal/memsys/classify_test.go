@@ -129,3 +129,57 @@ func TestClassifyTransparentThenRRefetch(t *testing.T) {
 		t.Fatalf("reads = %v, want R-Only for the refetch", s.Req.Reads)
 	}
 }
+
+// TestRecordSlotsRecycle pins the classification-record slot table: a line
+// opens a slot at its first record, closing the line's residency frees the
+// slot and clears Line.rec, a later line reuses the freed slot, and
+// Finalize closes whatever is still open.
+func TestRecordSlotsRecycle(t *testing.T) {
+	s := classifySys(t)
+	line := addrHomedAt(s, 2)
+	other := line + Addr(len(s.Nodes)*s.P.LineSize) // same home, different line
+	a, r := s.Nodes[0].CPUs[1], s.Nodes[0].CPUs[0]
+
+	s.Access(Req{CPU: a, Kind: Read, Addr: line, Role: RoleA}, 0)
+	l2 := s.Nodes[0].L2.Lookup(line)
+	if l2 == nil || l2.rec == 0 || s.openRecs() != 1 {
+		t.Fatalf("after an A-stream miss: rec = %v, open slots = %d; want one slot", l2, s.openRecs())
+	}
+	slot := l2.rec
+	// A remote write ends the residency: the record closes (A-Only) and
+	// the slot is freed. (An unroled writer opens no record of its own.)
+	s.Access(Req{CPU: s.Nodes[3].CPUs[0], Kind: Write, Addr: line, Role: RoleNone}, 1000)
+	if s.openRecs() != 0 || s.Req.Reads[stats.AOnly] != 1 {
+		t.Fatalf("after invalidation: open slots = %d, reads = %v; want 0 and one A-Only", s.openRecs(), s.Req.Reads)
+	}
+	// The next record reuses the freed slot rather than growing the table.
+	s.Access(Req{CPU: a, Kind: Read, Addr: other, Role: RoleA}, 2000)
+	if l := s.Nodes[0].L2.Lookup(other); l == nil || l.rec != slot || len(s.recs) != 2 {
+		t.Fatalf("second line: rec = %v, table size %d; want slot %d reused", l, len(s.recs), slot)
+	}
+	s.Access(Req{CPU: r, Kind: Read, Addr: other, Role: RoleR}, 10000)
+	s.Finalize()
+	if s.openRecs() != 0 || s.Req.Reads[stats.ATimely] != 1 {
+		t.Fatalf("after Finalize: open slots = %d, reads = %v; want 0 and one A-Timely", s.openRecs(), s.Req.Reads)
+	}
+	if l := s.Nodes[0].L2.Lookup(other); l == nil || l.rec != 0 {
+		t.Fatalf("Finalize left rec = %v, want 0", l)
+	}
+}
+
+// TestUnclassifiedRunsOpenNoSlots pins that runs without classification
+// (single and double modes) never open a record slot, which is what lets
+// Finalize skip its L2 scan.
+func TestUnclassifiedRunsOpenNoSlots(t *testing.T) {
+	s, _ := newSys(t, 4)
+	line := addrHomedAt(s, 2)
+	s.Access(Req{CPU: s.Nodes[0].CPUs[0], Kind: Read, Addr: line, Role: RoleR}, 0)
+	s.Access(Req{CPU: s.Nodes[1].CPUs[0], Kind: Write, Addr: line, Role: RoleR}, 1000)
+	if len(s.recs) != 1 || s.openRecs() != 0 {
+		t.Fatalf("unclassified accesses opened record slots: %v", s.recs)
+	}
+	s.Finalize()
+	if s.Req != (stats.ReqBreakdown{}) {
+		t.Fatalf("Finalize classified requests without classification: %+v", s.Req)
+	}
+}

@@ -2,7 +2,10 @@ package memsys
 
 import (
 	"fmt"
+	"slices"
 	"testing"
+
+	"slipstream/internal/stats"
 )
 
 // lineSnapshot captures the globally visible metadata of one line across
@@ -22,7 +25,6 @@ func snapshotLine(sys *System, line Addr) lineSnapshot {
 		if l2 := n.L2.Lookup(line); l2 != nil {
 			l = *l2
 			l.lru = 0 // LRU position is private timing state, not coherence state
-			l.recs = nil
 		}
 		snap.l2 = append(snap.l2, l)
 	}
@@ -102,6 +104,38 @@ func installL1HitState(sys *System, state string) {
 	}
 }
 
+// machineState is a deep copy of everything an access can change: every
+// cache frame and LRU clock, the directory entry of the tested line, and
+// every counter.
+type machineState struct {
+	frames []Line
+	clocks []int64
+	dir    DirEntry
+	ms     stats.MemStats
+	tl     stats.TLStats
+	si     stats.SIStats
+	req    stats.ReqBreakdown
+}
+
+func captureMachine(sys *System, line Addr) machineState {
+	st := machineState{
+		frames: append([]Line(nil), sys.frames...),
+		ms:     sys.MS, tl: sys.TL, si: sys.SIst, req: sys.Req,
+	}
+	for _, n := range sys.Nodes {
+		st.clocks = append(st.clocks, n.L2.clock, n.CPUs[0].L1.clock, n.CPUs[1].L1.clock)
+	}
+	if e := sys.Home(line).Dir.Peek(line); e != nil {
+		st.dir = *e
+	}
+	return st
+}
+
+func (st machineState) equal(o machineState) bool {
+	return slices.Equal(st.frames, o.frames) && slices.Equal(st.clocks, o.clocks) &&
+		st.dir == o.dir && st.ms == o.ms && st.tl == o.tl && st.si == o.si && st.req == o.req
+}
+
 // TestIsL1HitDifferential pits IsL1Hit against Access across every
 // combination of access kind, stream role, line state, critical-section
 // flag, and transparent-request flag: whenever IsL1Hit predicts a private
@@ -109,6 +143,11 @@ func installL1HitState(sys *System, state string) {
 // globally visible state (directory, all L2 copies, all counters except
 // L1Hits) untouched. This is the contract that lets the runtime simulate
 // predicted hits at a skewed local clock.
+//
+// Every combination also runs AccessL1 on a twin machine: it must hit
+// exactly when IsL1Hit predicts one, leave the twin exactly as Access
+// leaves the first machine (completion time, counters, every frame and
+// LRU clock) when it does, and change nothing at all when it does not.
 func TestIsL1HitDifferential(t *testing.T) {
 	const issueAt = 1000
 	predicted := 0
@@ -119,14 +158,26 @@ func TestIsL1HitDifferential(t *testing.T) {
 					for _, reqTL := range []bool{false, true} {
 						name := fmt.Sprintf("%s/%v/%v/incs=%v/tl=%v", state, kind, role, inCS, reqTL)
 						sys, _ := newSys(t, 2)
+						twin, _ := newSys(t, 2)
 						installL1HitState(sys, state)
+						installL1HitState(twin, state)
 						req := Req{
 							CPU: sys.Nodes[0].CPUs[0], Kind: kind, Addr: 8,
 							Role: role, InCS: inCS,
 							Transparent: reqTL && kind == Read && role == RoleA,
 						}
+						twinReq := req
+						twinReq.CPU = twin.Nodes[0].CPUs[0]
 						pred := sys.IsL1Hit(req)
+						twinPre := captureMachine(twin, 0)
+						twinDone, hit := twin.AccessL1(twinReq, issueAt)
+						if hit != pred {
+							t.Errorf("%s: AccessL1 hit = %v, IsL1Hit = %v", name, hit, pred)
+						}
 						if !pred {
+							if !captureMachine(twin, 0).equal(twinPre) {
+								t.Errorf("%s: AccessL1 miss changed machine state", name)
+							}
 							continue
 						}
 						predicted++
@@ -147,6 +198,12 @@ func TestIsL1HitDifferential(t *testing.T) {
 						}
 						if sys.TL != preTL || sys.SIst != preSI || sys.Req != preReq {
 							t.Errorf("%s: predicted hit changed TL/SI/classification counters", name)
+						}
+						if twinDone != done {
+							t.Errorf("%s: AccessL1 completed at %d, Access at %d", name, twinDone, done)
+						}
+						if !captureMachine(twin, 0).equal(captureMachine(sys, 0)) {
+							t.Errorf("%s: AccessL1 and Access left different machine state", name)
 						}
 					}
 				}

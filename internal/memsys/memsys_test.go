@@ -264,15 +264,21 @@ func TestFunctionalMemory(t *testing.T) {
 }
 
 // TestReleaseRecyclesZeroedFrames pins frame recycling: a system built
-// after another was used and released starts with every cache empty, so
-// its first access misses exactly as on a fresh machine, and the released
-// system's caches keep no frames.
+// after another was used and released starts with every cache empty and
+// no open classification record, so its first access misses and
+// classifies exactly as on a fresh machine, and the released system's
+// caches keep no frames. Each system is released with records still open,
+// as an abandoned run leaves them.
 func TestReleaseRecyclesZeroedFrames(t *testing.T) {
 	fresh, _ := newSys(t, 2)
+	fresh.Classify = true
 	a := addrHomedAt(fresh, 1)
-	want := read(fresh, fresh.Nodes[0].CPUs[0], a, 0)
+	want := fresh.Access(Req{CPU: fresh.Nodes[0].CPUs[0], Kind: Read, Addr: a, Role: RoleA}, 0)
+	fresh.Finalize()
+	wantReq := fresh.Req
 	for i := 0; i < 4; i++ {
 		s, _ := newSys(t, 2)
+		s.Classify = true
 		valid := 0
 		count := func(*Line) { valid++ }
 		for _, n := range s.Nodes {
@@ -281,15 +287,22 @@ func TestReleaseRecyclesZeroedFrames(t *testing.T) {
 				cpu.L1.ForEachValid(count)
 			}
 		}
-		if valid != 0 {
-			t.Fatalf("system %d starts with %d valid lines, want 0", i, valid)
+		if valid != 0 || s.openRecs() != 0 {
+			t.Fatalf("system %d starts with %d valid lines and %d open record slots, want none", i, valid, s.openRecs())
 		}
-		if got := read(s, s.Nodes[0].CPUs[0], a, 0); got != want {
+		if got := s.Access(Req{CPU: s.Nodes[0].CPUs[0], Kind: Read, Addr: a, Role: RoleA}, 0); got != want {
 			t.Fatalf("system %d: first remote read completes at %d, want %d", i, got, want)
+		}
+		if s.Finalize(); s.Req != wantReq {
+			t.Fatalf("system %d: first read classified %+v, want %+v", i, s.Req, wantReq)
 		}
 		now := int64(0)
 		for line := Addr(0); line < 4096*Addr(s.P.LineSize); line += Addr(s.P.LineSize) {
-			now = write(s, s.CPUByID(int(line/Addr(s.P.LineSize))%4), line, now)
+			cpu := s.CPUByID(int(line/Addr(s.P.LineSize)) % 4)
+			now = s.Access(Req{CPU: cpu, Kind: Write, Addr: line, Role: RoleR}, now)
+		}
+		if s.openRecs() == 0 {
+			t.Fatalf("system %d: no record slot open at release; the check is vacuous", i)
 		}
 		s.Release()
 		for _, n := range s.Nodes {

@@ -2,6 +2,7 @@ package memsys
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 
 	"slipstream/internal/obs"
@@ -50,7 +51,7 @@ func (n *Node) DC(line Addr) *sim.Resource {
 	if len(n.dcBanks) == 1 {
 		return &n.dcBanks[0]
 	}
-	return &n.dcBanks[int(line/Addr(n.sys.P.LineSize))%len(n.dcBanks)]
+	return &n.dcBanks[int(line>>n.sys.lineShift)%len(n.dcBanks)]
 }
 
 // DCStats sums busy cycles and uses across the node's DC banks.
@@ -87,6 +88,16 @@ type System struct {
 	// frames backs every cache's lines: one array, recycled by Release.
 	frames []Line
 
+	// lineShift is log2 of the line size: a line's number is addr>>lineShift.
+	lineShift uint
+
+	// recs is the classification-record slot table: an L2 line with open
+	// records (Line.rec != 0) keeps them in recs[Line.rec]. Slot 0 is
+	// never used; freeRecs lists closed slots, whose record capacity the
+	// next line to open a slot reuses.
+	recs     [][]reqRec
+	freeRecs []int32
+
 	// Classify enables request classification (Figure 7). It is turned on
 	// for slipstream-mode runs, where accesses carry stream roles.
 	Classify bool
@@ -116,7 +127,10 @@ func NewSystem(eng *sim.Engine, p Params) (*System, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	s := &System{P: p, Eng: eng, Mem: NewMem(p.LineSize)}
+	s := &System{
+		P: p, Eng: eng, Mem: NewMem(p.LineSize),
+		lineShift: uint(bits.TrailingZeros(uint(p.LineSize))),
+	}
 	s.Nodes = make([]*Node, p.Nodes)
 	var caches []*Cache
 	for i := range s.Nodes {
@@ -143,7 +157,7 @@ func NewSystem(eng *sim.Engine, p Params) (*System, error) {
 	for _, c := range caches {
 		total += c.nframes()
 	}
-	s.frames = takeFrames(total)
+	s.frames, s.recs = takeSpare(total)
 	off := 0
 	for _, c := range caches {
 		n := c.nframes()
@@ -153,36 +167,40 @@ func NewSystem(eng *sim.Engine, p Params) (*System, error) {
 	return s, nil
 }
 
-// spare holds the frame array of the last released system. At the paper's
-// geometry a machine has ~8 MB of frames; handing them from one run to the
-// next keeps back-to-back runs from allocating, and the GC from
-// collecting, that much per run. One slot bounds what an idle process
-// keeps to one machine's frames.
+// spare holds the frame array and record slot table of the last released
+// system. At the paper's geometry a machine has ~4.5 MB of frames (32-byte
+// lines, pointer-free, so never scanned) and a slipstream run opens tens of
+// thousands of record slots; handing both from one run to the next keeps
+// back-to-back runs from allocating, and the GC from collecting, that much
+// per run. Keeping one machine's worth bounds what an idle process holds.
 //
-//simlint:ignore sharedstate guarded by its mutex, and takeFrames zeroes the array before reuse, so no run sees another's lines
+//simlint:ignore sharedstate guarded by its mutex, and takeSpare zeroes the frames and empties the slot table before reuse, so no run sees another's lines or records
 var spare struct {
 	sync.Mutex
 	frames []Line
+	recs   [][]reqRec
 }
 
-// takeFrames returns n zeroed frames, reusing the spare array when it is
-// large enough.
-func takeFrames(n int) []Line {
+// takeSpare returns n zeroed frames and an empty record slot table (slot 0
+// reserved), reusing the spare's when its frame array is large enough. A
+// reused table keeps its slots' record capacity for takeRecSlot.
+func takeSpare(n int) ([]Line, [][]reqRec) {
 	spare.Lock()
-	f := spare.frames
+	f, recs := spare.frames, spare.recs
 	if cap(f) < n {
 		spare.Unlock()
-		return make([]Line, n)
+		return make([]Line, n), make([][]reqRec, 1)
 	}
-	spare.frames = nil
+	spare.frames, spare.recs = nil, nil
 	spare.Unlock()
 	f = f[:n]
 	clear(f)
-	return f
+	return f, recs[:1]
 }
 
-// Release hands the system's cache frames to a later NewSystem. The system
-// must not be used afterwards; its caches no longer hold frames.
+// Release hands the system's cache frames and record slot table to a later
+// NewSystem. The system must not be used afterwards; its caches no longer
+// hold frames.
 func (s *System) Release() {
 	if s.frames == nil {
 		return
@@ -196,8 +214,9 @@ func (s *System) Release() {
 		}
 	}
 	spare.Lock()
-	spare.frames = f
+	spare.frames, spare.recs = f, s.recs
 	spare.Unlock()
+	s.recs, s.freeRecs = nil, nil
 }
 
 // CPUByID returns the processor with the given global id.
@@ -208,16 +227,19 @@ func (s *System) CPUByID(id int) *CPU {
 // Home returns the home node of a line-aligned address. Lines are
 // interleaved round-robin across nodes.
 func (s *System) Home(line Addr) *Node {
-	return s.Nodes[int(line/Addr(s.P.LineSize))%len(s.Nodes)]
+	return s.Nodes[int(line>>s.lineShift)%len(s.Nodes)]
 }
 
 // Finalize closes all open classification records (end of run counts as the
 // end of every line's residency) and reports end-of-run resource occupancy
-// to the bus.
+// to the bus. Runs that opened no records (every run without
+// classification) skip the scan of the L2 frames.
 func (s *System) Finalize() {
-	for _, n := range s.Nodes {
-		n := n
-		n.L2.ForEachValid(func(l *Line) { s.closeRecs(n, l) })
+	if s.openRecs() > 0 {
+		for _, n := range s.Nodes {
+			n := n
+			n.L2.ForEachValid(func(l *Line) { s.closeRecs(n, l) })
+		}
 	}
 	if s.Bus == nil {
 		return
@@ -247,24 +269,50 @@ func (s *System) String() string {
 
 // --- classification bookkeeping (Figure 7) ---
 
+// openRecs returns the number of record slots in use.
+func (s *System) openRecs() int { return len(s.recs) - 1 - len(s.freeRecs) }
+
 // addRec opens a classification record on an L2 line for a request that
 // reached the directory.
 func (s *System) addRec(l *Line, role Role, excl bool, fillDone int64) {
 	if !s.Classify || role == RoleNone {
 		return
 	}
-	//simlint:ignore hotpathalloc record capacity is reused after closeRecs truncates to recs[:0]
-	l.recs = append(l.recs, reqRec{role: role, excl: excl, fillDone: fillDone})
+	if l.rec == 0 {
+		l.rec = s.takeRecSlot()
+	}
+	//simlint:ignore hotpathalloc slot capacity is reused after closeRecs frees the slot
+	s.recs[l.rec] = append(s.recs[l.rec], reqRec{role: role, excl: excl, fillDone: fillDone})
+}
+
+// takeRecSlot returns an empty record slot, reusing a freed one first, then
+// one a recycled table (takeSpare) holds beyond its length.
+func (s *System) takeRecSlot() int32 {
+	if n := len(s.freeRecs); n > 0 {
+		slot := s.freeRecs[n-1]
+		s.freeRecs = s.freeRecs[:n-1]
+		return slot
+	}
+	n := len(s.recs)
+	if n < cap(s.recs) {
+		s.recs = s.recs[:n+1]
+		s.recs[n] = s.recs[n][:0]
+	} else {
+		//simlint:ignore hotpathalloc the slot table grows to the peak number of lines with open records, once per process when recycled
+		s.recs = append(s.recs, nil)
+	}
+	return int32(n)
 }
 
 // recordTouch notes that the given stream referenced the line at time t,
 // updating open records of the companion stream.
 func (s *System) recordTouch(l *Line, role Role, t int64) {
-	if !s.Classify || role == RoleNone {
+	if l.rec == 0 || role == RoleNone {
 		return
 	}
-	for i := range l.recs {
-		r := &l.recs[i]
+	recs := s.recs[l.rec]
+	for i := range recs {
+		r := &recs[i]
 		if r.role == role {
 			continue
 		}
@@ -280,7 +328,11 @@ func (s *System) recordTouch(l *Line, role Role, t int64) {
 // the line's residency at node ends (eviction, invalidation, or end of
 // run). A-stream read outcomes also feed the node's adaptive window.
 func (s *System) closeRecs(node *Node, l *Line) {
-	for _, r := range l.recs {
+	if l.rec == 0 {
+		return
+	}
+	recs := s.recs[l.rec]
+	for _, r := range recs {
 		var c stats.ReqClass
 		switch {
 		case r.role == RoleA && r.compDuring:
@@ -310,5 +362,8 @@ func (s *System) closeRecs(node *Node, l *Line) {
 			}
 		}
 	}
-	l.recs = l.recs[:0] // keep capacity: the frame's next residency reuses it
+	s.recs[l.rec] = recs[:0] // keep capacity: the slot's next user reuses it
+	//simlint:ignore hotpathalloc the free list is bounded by the slot table
+	s.freeRecs = append(s.freeRecs, l.rec)
+	l.rec = 0
 }

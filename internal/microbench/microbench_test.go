@@ -199,6 +199,24 @@ func TestObsEmitZeroAlloc(t *testing.T) {
 	sinkTime += now
 }
 
+// TestL1PrivateHitZeroAlloc asserts the core's private-hit path (AccessL1
+// on a resident line) allocates nothing and really hits.
+func TestL1PrivateHitZeroAlloc(t *testing.T) {
+	s, req, now, err := newPrivateHit()
+	if err != nil {
+		t.Fatal(err)
+	}
+	hits := s.MS.L1Hits
+	var ok bool
+	if avg := testing.AllocsPerRun(1000, func() { now, ok = s.AccessL1(req, now) }); avg != 0 {
+		t.Errorf("private L1 hit allocates %.2f per op, want 0", avg)
+	}
+	if !ok || s.MS.L1Hits != hits+1001 {
+		t.Errorf("AccessL1 hit = %v, L1Hits %d -> %d; want every call to hit", ok, hits, s.MS.L1Hits)
+	}
+	sinkTime += now
+}
+
 // TestRunNKeepsBestAttempt pins the best-of-N estimator: RunN reports one
 // result per benchmark (not one per attempt), and the kept ns/op is the
 // minimum across attempts — noise only ever slows a benchmark down.

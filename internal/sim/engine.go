@@ -17,8 +17,10 @@ import (
 // Monitor observes engine progress. It exists for runtime auditing
 // (internal/audit): the engine calls Step after executing each event, so a
 // monitor can cross-check clock monotonicity independently of the queue
-// ordering that is supposed to guarantee it. Implementations must not
-// mutate simulation state.
+// ordering that is supposed to guarantee it. A wake run in place (see
+// Proc.WaitUntil) counts as an event and is reported at the same point of
+// the stream as a queued one. Implementations must not mutate simulation
+// state.
 type Monitor interface {
 	// Step reports that the clock advanced from prev to now and one event
 	// ran at now.
@@ -28,12 +30,22 @@ type Monitor interface {
 // Engine is a discrete-event simulator. The zero value is not usable; use
 // NewEngine.
 type Engine struct {
-	now     int64
+	now int64
+	// prev is the clock before the running event, reported to the monitor
+	// with now when that event ends (see Step and wakeInPlace).
+	prev    int64
 	seq     uint64
 	events  eventQueue
 	procs   []*Proc
 	monitor Monitor
+	// deadline is RunUntil's bound while it runs, and noDeadline
+	// otherwise: a process wakes in place only under RunUntil.
+	deadline int64
 }
+
+// noDeadline marks an engine not inside RunUntil. Clocks start at zero, so
+// no wait time is at or below it.
+const noDeadline = math.MinInt64
 
 // NewEngine returns an engine with the clock at zero, scheduling through
 // the default calendar queue.
@@ -44,7 +56,7 @@ func NewEngine() *Engine { return NewEngineQueue(QueueCalendar) }
 // pinned by differential tests — so the choice affects simulator speed
 // only, never results. QueueHeap exists for those tests and benchmarks.
 func NewEngineQueue(kind QueueKind) *Engine {
-	return &Engine{events: newEventQueue(kind)}
+	return &Engine{events: newEventQueue(kind), deadline: noDeadline}
 }
 
 // Now returns the current simulated time in cycles.
@@ -78,12 +90,33 @@ func (e *Engine) Step() bool {
 	if !ok {
 		return false
 	}
-	prev := e.now
-	e.now = ev.at
+	e.prev, e.now = e.now, ev.at
 	ev.fn()
 	if e.monitor != nil {
-		e.monitor.Step(prev, ev.at)
+		e.monitor.Step(e.prev, e.now)
 	}
+	return true
+}
+
+// wakeInPlace advances the clock to t for the running process, in place of
+// queueing its wake, when that wake would be the next event RunUntil
+// executes: t is within the deadline and nothing is pending at or before t
+// (events already queued at t would precede the push). It reports whether
+// it did. The monitor's view stays exact: the event that is ending
+// reports its step here, just where the event path reports it once the
+// process has yielded, and Step reports the wake's own step when the
+// process next yields.
+func (e *Engine) wakeInPlace(t int64) bool {
+	if t > e.deadline {
+		return false
+	}
+	if next, pending := e.events.peekTime(); pending && next <= t {
+		return false
+	}
+	if e.monitor != nil {
+		e.monitor.Step(e.prev, e.now)
+	}
+	e.prev, e.now = e.now, t
 	return true
 }
 
@@ -96,7 +129,9 @@ func (e *Engine) Run() { e.RunUntil(math.MaxInt64) }
 // after every other process has been released.
 func (e *Engine) RunUntil(deadline int64) bool {
 	returned := false
+	e.deadline = deadline
 	defer func() {
+		e.deadline = noDeadline
 		if !returned {
 			e.Release()
 		}

@@ -124,13 +124,20 @@ func (p *Proc) release() {
 }
 
 // WaitUntil blocks the process until absolute simulated time t.
-// Waiting for a past time returns immediately.
+// Waiting for a past time returns immediately. Under RunUntil, when the
+// wake would be the next event executed anyway, the clock advances in
+// place: no push, no switch to the event loop and back, no pop.
 func (p *Proc) WaitUntil(t int64) {
-	if t <= p.eng.now {
+	e := p.eng
+	if t <= e.now {
 		p.checkKilled()
 		return
 	}
-	p.eng.At(t, p.dispatchFn)
+	if e.wakeInPlace(t) {
+		p.checkKilled()
+		return
+	}
+	e.At(t, p.dispatchFn)
 	p.yield()
 }
 

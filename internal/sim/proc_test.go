@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 )
@@ -228,5 +229,136 @@ func TestReleaseUnwindsSuspended(t *testing.T) {
 	e.Run()
 	if n := runtime.NumGoroutine(); n > base {
 		t.Errorf("goroutines = %d after Release, want <= %d", n, base)
+	}
+}
+
+// stepLog is a monitor that appends each reported step to a shared log,
+// so tests can check where steps fall relative to process actions.
+type stepLog struct{ log *[]string }
+
+func (m stepLog) Step(prev, now int64) {
+	*m.log = append(*m.log, fmt.Sprintf("step %d->%d", prev, now))
+}
+
+// TestWaitInPlaceDeadline pins the in-place wake at RunUntil's deadline: a
+// lone process whose wakes are always next runs without queue round trips
+// up to the deadline, stops with its wake past the deadline queued, and
+// resumes exactly as an uninterrupted run.
+func TestWaitInPlaceDeadline(t *testing.T) {
+	run := func(split bool) (trace []int64, steps int) {
+		e := NewEngine()
+		var log []string
+		e.SetMonitor(stepLog{&log})
+		e.Go("loop", func(p *Proc) {
+			for i := 0; i < 6; i++ {
+				trace = append(trace, e.Now())
+				p.Delay(10)
+			}
+		})
+		if split {
+			if e.RunUntil(35) {
+				t.Fatal("RunUntil(35) drained with the wake at 40 pending")
+			}
+			if e.Now() != 30 || e.Pending() != 1 {
+				t.Fatalf("after RunUntil(35): Now = %d, Pending = %d; want 30, 1", e.Now(), e.Pending())
+			}
+			if len(log) != 4 {
+				t.Fatalf("steps after RunUntil(35) = %v, want start and three wakes", log)
+			}
+		}
+		e.Run()
+		return trace, len(log)
+	}
+	whole, wholeSteps := run(false)
+	split, splitSteps := run(true)
+	if fmt.Sprint(whole) != fmt.Sprint(split) || wholeSteps != splitSteps {
+		t.Fatalf("split run %v (%d steps), whole run %v (%d steps)", split, splitSteps, whole, wholeSteps)
+	}
+	if want := "[0 10 20 30 40 50]"; fmt.Sprint(whole) != want {
+		t.Fatalf("trace = %v, want %s", whole, want)
+	}
+	if wholeSteps != 7 {
+		t.Fatalf("steps = %d, want 7 (start and six wakes)", wholeSteps)
+	}
+}
+
+// TestWaitInPlaceMonitorOrder pins the monitor contract of the in-place
+// wake: RunUntil (which wakes in place where it can) and a Step-driven
+// loop (which never does) report the same steps, interleaved with the
+// processes' actions in the same order.
+func TestWaitInPlaceMonitorOrder(t *testing.T) {
+	run := func(byStep bool) []string {
+		e := NewEngine()
+		var log []string
+		e.SetMonitor(stepLog{&log})
+		note := func(s string) { log = append(log, fmt.Sprintf("%s@%d", s, e.Now())) }
+		var sleeper *Proc
+		sleeper = e.Go("sleeper", func(p *Proc) {
+			note("sleeper park")
+			p.Park()
+			note("sleeper woke")
+			p.Delay(7) // alone by then: in place
+			note("sleeper done")
+		})
+		e.Go("a", func(p *Proc) {
+			for i := 0; i < 3; i++ {
+				note("a")
+				p.Delay(10)
+			}
+			sleeper.Wake(e.Now() + 1)
+			p.Delay(3) // sleeper's wake at +1 is pending: queued
+			note("a done")
+		})
+		e.Go("b", func(p *Proc) {
+			p.Delay(5)
+			note("b")
+			p.WaitUntil(25)
+			note("b done")
+		})
+		e.At(12, func() { note("event") })
+		if byStep {
+			for e.Step() {
+			}
+		} else {
+			e.Run()
+		}
+		return log
+	}
+	inPlace, queued := run(false), run(true)
+	if len(inPlace) != len(queued) {
+		t.Fatalf("RunUntil log:\n%v\nStep log:\n%v", inPlace, queued)
+	}
+	for i := range queued {
+		if inPlace[i] != queued[i] {
+			t.Fatalf("logs diverge at %d: RunUntil %q, Step %q\nRunUntil: %v\nStep: %v",
+				i, inPlace[i], queued[i], inPlace, queued)
+		}
+	}
+}
+
+// TestStepDrivenRunsOneWakePerStep pins that only RunUntil wakes in place:
+// driven by Step, before or after a RunUntil, every wake is one queued
+// event.
+func TestStepDrivenRunsOneWakePerStep(t *testing.T) {
+	e := NewEngine()
+	e.Go("loop", func(p *Proc) {
+		for {
+			p.Delay(10)
+		}
+	})
+	defer e.Release()
+	if !e.Step() || e.Now() != 0 || e.Pending() != 1 {
+		t.Fatalf("first Step: Now = %d, Pending = %d; want 0, 1", e.Now(), e.Pending())
+	}
+	for want := int64(10); want <= 30; want += 10 {
+		if !e.Step() || e.Now() != want || e.Pending() != 1 {
+			t.Fatalf("Step: Now = %d, Pending = %d; want %d, 1", e.Now(), e.Pending(), want)
+		}
+	}
+	if e.RunUntil(55) || e.Now() != 50 {
+		t.Fatalf("RunUntil(55): Now = %d, want 50", e.Now())
+	}
+	if !e.Step() || e.Now() != 60 || e.Pending() != 1 {
+		t.Fatalf("Step after RunUntil: Now = %d, Pending = %d; want 60, 1", e.Now(), e.Pending())
 	}
 }
