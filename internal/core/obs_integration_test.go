@@ -1,73 +1,72 @@
 package core
 
 import (
-	"bytes"
 	"reflect"
 	"testing"
 
 	"slipstream/internal/obs"
-	"slipstream/internal/trace"
 )
 
 // TestObserversDoNotPerturbResults pins the central contract of the
 // observation bus: attaching observers must not change simulated timing or
 // any reported statistic.
 func TestObserversDoNotPerturbResults(t *testing.T) {
-	run := func(observers ...obs.Observer) *Result {
-		k := &stencilKernel{n: 1024, iters: 4}
-		res, err := Run(Options{
-			Mode: ModeSlipstream, CMPs: 4, ARSync: OneTokenLocal,
-			Observers: observers,
-		}, k)
-		if err != nil {
-			t.Fatal(err)
+	for _, tc := range []struct {
+		name string
+		k    func() Kernel
+		ar   ARSync
+	}{
+		{"stencil/L1", func() Kernel { return &stencilKernel{n: 1024, iters: 4} }, OneTokenLocal},
+		{"gather/G0", func() Kernel { return &gatherKernel{n: 1024, iters: 3} }, ZeroTokenGlobal},
+	} {
+		run := func(observers ...obs.Observer) *Result {
+			res, err := Run(Options{
+				Mode: ModeSlipstream, CMPs: 4, ARSync: tc.ar,
+				Observers: observers,
+			}, tc.k())
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res
 		}
-		return res
-	}
-	bare := run()
-	observed := run(&obs.Metrics{}, &obs.ChromeTrace{}, &trace.Collector{SlowThreshold: 1})
-	if !reflect.DeepEqual(bare, observed) {
-		t.Errorf("observers perturbed the result:\nbare:     %+v\nobserved: %+v", bare, observed)
+		bare := run()
+		observed := run(&obs.Metrics{}, &obs.ChromeTrace{}, &obs.Leads{})
+		if !reflect.DeepEqual(bare, observed) {
+			t.Errorf("%s: observers perturbed the result:\nbare:     %+v\nobserved: %+v", tc.name, bare, observed)
+		}
 	}
 }
 
-// TestTraceFieldMatchesObserverList pins the deprecated-adapter guarantee:
-// a collector passed via Options.Trace records exactly what the same
-// collector records when attached through Options.Observers.
-func TestTraceFieldMatchesObserverList(t *testing.T) {
-	run := func(opts Options) *trace.Collector {
-		k := &stencilKernel{n: 1024, iters: 4}
-		if _, err := Run(opts, k); err != nil {
-			t.Fatal(err)
-		}
-		if opts.Trace != nil {
-			return opts.Trace
-		}
-		return opts.Observers[0].(*trace.Collector)
-	}
-	base := Options{Mode: ModeSlipstream, CMPs: 4, ARSync: ZeroTokenLocal}
-
-	legacy := base
-	legacy.Trace = &trace.Collector{SlowThreshold: 400}
-	viaField := run(legacy)
-
-	redesigned := base
-	redesigned.Observers = []obs.Observer{&trace.Collector{SlowThreshold: 400}}
-	viaList := run(redesigned)
-
-	var a, b bytes.Buffer
-	if err := viaField.WriteTSV(&a); err != nil {
+// TestTraceCapturesSlipstreamRun checks that a slipstream run's sessions,
+// barrier waits, remote misses and A-over-R leads reach the bus.
+func TestTraceCapturesSlipstreamRun(t *testing.T) {
+	m, ct, leads := &obs.Metrics{}, &obs.ChromeTrace{}, &obs.Leads{}
+	k := &stencilKernel{n: 1024, iters: 4}
+	res, err := Run(Options{
+		Mode: ModeSlipstream, CMPs: 4, ARSync: ZeroTokenLocal,
+		Observers: []obs.Observer{m, ct, leads},
+	}, k)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := viaList.WriteTSV(&b); err != nil {
-		t.Fatal(err)
+	if res.VerifyErr != nil {
+		t.Fatal(res.VerifyErr)
 	}
-	if a.String() != b.String() {
-		t.Errorf("Options.Trace and Options.Observers diverge:\nTrace:\n%s\nObservers:\n%s",
-			a.String(), b.String())
+	// 4 R-streams x 4 sessions plus 4 A-streams x 4 sessions.
+	if got := m.Counter("session.count"); got < 16 {
+		t.Errorf("session.count = %d, want >= 16", got)
 	}
-	if viaField.Len() == 0 {
-		t.Fatal("trace collected no events")
+	if h := m.Histogram("wait.barrier"); h == nil || h.Count == 0 {
+		t.Error("no barrier waits recorded")
+	}
+	if h := m.Histogram("mem.dir-remote"); h == nil || h.Count == 0 {
+		t.Error("no remote-directory accesses recorded")
+	}
+	if ct.Len() == 0 {
+		t.Error("Chrome trace recorded nothing")
+	}
+	if len(leads.Series()) == 0 {
+		t.Fatal("no A-over-R leads computable")
 	}
 }
 

@@ -5,7 +5,7 @@ import (
 
 	"slipstream/internal/core"
 	"slipstream/internal/kernels"
-	"slipstream/internal/trace"
+	"slipstream/internal/obs"
 )
 
 // AdaptiveRow is one kernel's comparison of the four fixed A-R policies
@@ -210,9 +210,9 @@ type LeadRow struct {
 	MeanLead float64
 }
 
-// ExtLeadsData measures, via tracing, how far ahead of its R-stream each
-// policy lets the A-stream run — the quantity behind Figure 7's
-// timely/late split.
+// ExtLeadsData measures, with an obs.Leads subscriber, how far ahead of
+// its R-stream each policy lets the A-stream run — the quantity behind
+// Figure 7's timely/late split.
 func (s *Session) ExtLeadsData(kernelNames []string) ([]LeadRow, error) {
 	var out []LeadRow
 	for _, name := range kernelNames {
@@ -221,21 +221,16 @@ func (s *Session) ExtLeadsData(kernelNames []string) ([]LeadRow, error) {
 			cmps = s.fftCMPs()
 		}
 		for _, ar := range core.ARSyncs {
-			k, err := kernels.New(name, s.cfg.Size)
-			if err != nil {
-				return nil, err
-			}
-			tr := &trace.Collector{}
-			res, err := core.Run(core.Options{
-				CMPs: cmps, Mode: core.ModeSlipstream, ARSync: ar, Trace: tr,
-			}, k)
+			leads := &obs.Leads{}
+			sp := s.spec(name, core.ModeSlipstream, ar, cmps, false, false)
+			res, err := sp.RunObserved(s.cfg.Audit, leads)
 			if err != nil {
 				return nil, err
 			}
 			if res.VerifyErr != nil {
 				return nil, res.VerifyErr
 			}
-			out = append(out, LeadRow{Kernel: name, AR: ar, MeanLead: tr.Summarize().MeanLead})
+			out = append(out, LeadRow{Kernel: name, AR: ar, MeanLead: leads.Mean()})
 		}
 	}
 	return out, nil

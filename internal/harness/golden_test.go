@@ -43,7 +43,7 @@ func TestOutputIdenticalAcrossWorkerCounts(t *testing.T) {
 }
 
 // TestCachedSessionSimulatesOnlyUncacheableRuns checks the second-session
-// contract: with a warm persistent cache, everything except the traced
+// contract: with a warm persistent cache, everything except the observed
 // leads study (which cannot be cached) is served without simulation, and
 // the rendered output is byte-identical.
 func TestCachedSessionSimulatesOnlyUncacheableRuns(t *testing.T) {
@@ -71,8 +71,8 @@ func TestCachedSessionSimulatesOnlyUncacheableRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	sim2, hits2 := s2.Stats()
-	// ExtLeads runs with a trace collector attached and bypasses the spec
-	// path entirely, so it contributes to neither counter.
+	// ExtLeads runs with an obs.Leads subscriber attached and bypasses
+	// the memo and the cache, so it contributes to neither counter.
 	if sim2 != 0 {
 		t.Errorf("warm session re-simulated %d cached runs", sim2)
 	}

@@ -39,9 +39,9 @@ func Figures() []Figure {
 		{Tag: "adaptive", Plan: (*Session).planExtAdaptive, Render: (*Session).ExtAdaptive},
 		{Tag: "forward", Plan: (*Session).planExtForward, Render: (*Session).ExtForward},
 		{Tag: "sensitivity", Plan: (*Session).planExtSensitivity, Render: (*Session).ExtSensitivity},
-		// ExtLeads runs with a trace collector attached, and traces are
-		// neither memoizable nor persistable, so it has no plan and
-		// simulates during rendering.
+		// ExtLeads reads each run's session events through an obs.Leads
+		// subscriber, which a memoized or cached Result cannot replay, so
+		// it has no plan and simulates during rendering.
 		{Tag: "leads", Render: (*Session).ExtLeads},
 		{Tag: "banks", Plan: (*Session).planExtBanks, Render: (*Session).ExtBanks},
 		{Tag: "synth", Plan: (*Session).planExtSynth, Render: (*Session).ExtSynth},

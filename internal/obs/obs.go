@@ -5,8 +5,8 @@
 // nil-checkable fan-out Bus.
 //
 // Every instrumentation consumer — the runtime invariant auditor, the
-// structured trace collector, the Chrome trace-event exporter, and the
-// metrics registry — is an Observer subscribed to one Bus. Emission sites
+// Chrome trace-event exporter, the metrics registry, and the A-over-R lead
+// recorder (Leads) — is an Observer subscribed to one Bus. Emission sites
 // guard with a single pointer test (`if bus != nil`), so a run with nothing
 // attached pays one branch per event site and constructs no Event values.
 //

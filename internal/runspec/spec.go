@@ -101,21 +101,15 @@ func (sp RunSpec) Validate() error {
 // Run executes the spec's simulation and returns its result. Numeric
 // verification failures are reported in Result.VerifyErr, as with
 // core.Run.
-func (sp RunSpec) Run() (*core.Result, error) { return sp.RunAudited(false) }
+func (sp RunSpec) Run() (*core.Result, error) { return sp.RunObserved(false) }
 
-// RunAudited is Run with the runtime invariant auditor (core.Options.Audit)
-// optionally enabled. Auditing observes without changing the simulated
-// result, so audited and unaudited runs of equal specs are interchangeable;
-// that is why it is a run argument and not part of the spec (it must not
+// RunObserved is Run with the runtime invariant auditor
+// (core.Options.Audit) optionally enabled and any number of
+// observation-bus subscribers attached (core.Options.Observers). Auditing
+// and observation never change the simulated result, so audited and
+// observed runs of equal specs are interchangeable with plain ones; that
+// is why they are run arguments and not part of the spec (they must not
 // fork cache keys).
-func (sp RunSpec) RunAudited(audit bool) (*core.Result, error) {
-	return sp.RunObserved(audit)
-}
-
-// RunObserved is Run with the auditor optionally enabled and any number of
-// observation-bus subscribers attached (core.Options.Observers). Like
-// auditing, observation never changes the simulated result, so observed
-// runs share cache keys with unobserved ones.
 func (sp RunSpec) RunObserved(audit bool, observers ...obs.Observer) (*core.Result, error) {
 	sp = sp.Normalize()
 	k, err := kernels.NewParams(sp.Kernel, sp.Size, sp.Params)
